@@ -67,9 +67,9 @@ class Adversary(abc.ABC):
     #: call becomes one columnar :class:`~repro.sim.messages.Broadcast`
     #: record plus packed int descriptors, and deliveries arrive as
     #: ``DeliverBatch`` actions.  Behaviour is byte-identical across the
-    #: two planes (pinned by tests/sim/test_batch.py).  Runs with an event
-    #: sink attached stay materialized regardless of this flag; when in
-    #: doubt, leave the default ``True``.
+    #: two planes (pinned by tests/sim/test_batch.py).  Runs with a sink
+    #: that reads ``msg.send``/``msg.deliver`` stay materialized regardless
+    #: of this flag; when in doubt, leave the default ``True``.
     uses_message_objects: bool = True
 
     def setup(self, sim: "Simulation") -> None:

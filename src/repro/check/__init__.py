@@ -40,7 +40,9 @@ from .invariants import (
     Invariant,
     ProtocolSpec,
     TrialStats,
+    UncapturedKindError,
     invariants_for,
+    reads_of,
 )
 from .streaming import (
     STREAMING_INVARIANTS,
@@ -82,6 +84,7 @@ __all__ = [
     "TrialOutcome",
     "TrialSpec",
     "TrialStats",
+    "UncapturedKindError",
     "ViolationRecord",
     "audit_trace",
     "explore",
@@ -89,6 +92,7 @@ __all__ = [
     "streaming_invariants_for",
     "load_artifact",
     "plan_trials",
+    "reads_of",
     "replay_artifact",
     "run_trial",
     "shrink_schedule",

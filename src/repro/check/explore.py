@@ -44,6 +44,7 @@ from .invariants import (
     TrialStats,
     evaluate_run,
     invariants_for,
+    reads_of,
     run_protocol,
     stats_for,
 )
@@ -253,6 +254,10 @@ class TrialOutcome:
     violations: list[tuple[str, str]]
 
 
+def _captured(sink: ListSink | None) -> list[Event]:
+    return [] if sink is None else sink.events
+
+
 def run_trial(
     protocol: ProtocolSpec,
     trial: TrialSpec,
@@ -261,13 +266,20 @@ def run_trial(
     invariants: Sequence[Invariant],
     pattern: str = "first",
 ) -> TrialOutcome:
-    """Execute one trial and evaluate its run-scope invariants."""
-    sink = ListSink()
+    """Execute one trial and evaluate its run-scope invariants.
+
+    The run captures only the event kinds the invariants declare in
+    :attr:`~repro.check.invariants.Invariant.reads`, and attaches no sink
+    when they declare none: the simulation then skips building events
+    and may take the columnar plane.
+    """
+    reads = reads_of(invariants)
+    sink = ListSink(kinds=reads) if reads else None
     run = run_protocol(
         protocol, n, k, trial.build_adversary(), trial.seed,
         pattern=pattern, sink=sink,
     )
-    violations = evaluate_run(protocol, run, sink.events, invariants)
+    violations = evaluate_run(protocol, run, _captured(sink), invariants, reads)
     stats = stats_for(
         protocol, run, trial.index, trial.adversary, trial.mode, trial.seed
     )
@@ -341,12 +353,13 @@ def run_trial_checkpointed(
         if entry is not None:
             best, best_depth = entry, depth
             break
-    sink = ListSink()
+    reads = reads_of(invariants)
+    sink = ListSink(kinds=reads) if reads else None
     prefix_events: list[Event] = [] if best is None else list(best[1])
 
     def on_exhausted(sim: Simulation) -> None:
         if choices not in store and len(store) < MAX_STORED_CHECKPOINTS:
-            store[choices] = (capture(sim), prefix_events + list(sink.events))
+            store[choices] = (capture(sim), prefix_events + _captured(sink))
 
     adversary = _CheckpointingSystematic(choices[best_depth:], on_exhausted)
     if best is None:
@@ -361,8 +374,8 @@ def run_trial_checkpointed(
         protocol, n, k, adversary, trial.seed,
         pattern=pattern, simulation=sim,
     )
-    events = prefix_events + sink.events
-    violations = evaluate_run(protocol, run, events, invariants)
+    events = prefix_events + _captured(sink)
+    violations = evaluate_run(protocol, run, events, invariants, reads)
     stats = stats_for(
         protocol, run, trial.index, trial.adversary, trial.mode, trial.seed
     )
@@ -381,6 +394,8 @@ def capture_run(
     Trials are pure functions of their spec, so this reproduces the
     original execution exactly — the cheap way to recover a violating
     schedule without shipping event streams between worker processes.
+    Unlike :func:`run_trial` it captures every kind: the schedule needs
+    the ``sched.*`` and ``msg.deliver`` events.
     """
     sink = ListSink()
     run = run_protocol(

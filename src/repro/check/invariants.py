@@ -172,28 +172,59 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 
 
+class UncapturedKindError(LookupError):
+    """A check read an event kind its run did not capture.
+
+    Explorer trials capture only the kinds their invariants declare in
+    :attr:`Invariant.reads`, so this is an invariant that forgot to
+    declare what it reads.
+    """
+
+
 class CheckContext:
     """Everything a per-run invariant may inspect about one execution.
 
     Wraps the Run object the harness produced, its
     :class:`~repro.sim.runtime.SimulationResult`, and (when available)
-    the full structured event stream — which is how coin-flip-dependent
-    invariants such as ``no_false_death`` see the flips.
+    the structured event stream — which is how coin-flip-dependent
+    invariants such as ``no_false_death`` see the flips.  ``kinds``
+    names the event types the stream was captured with (``None``: every
+    type); checks read the stream through :meth:`events_of`, which
+    refuses a type outside it.
     """
 
-    __slots__ = ("spec", "run", "result", "events", "_last_coins")
+    __slots__ = ("spec", "run", "result", "events", "kinds", "_last_coins")
 
     def __init__(
         self,
         spec: ProtocolSpec,
         run: Any,
         events: Sequence[Event] | None = None,
+        kinds: frozenset[str] | None = None,
     ) -> None:
         self.spec = spec
         self.run = run
         self.result: SimulationResult = run.result
         self.events = list(events) if events is not None else None
+        self.kinds = kinds
         self._last_coins: dict[int, int] | None = None
+
+    def events_of(self, etype: str) -> list[Event] | None:
+        """The captured events of type ``etype``, in stream order.
+
+        Returns ``None`` when no stream was captured at all (service
+        runs, socket runs without a trace).  Raises
+        :class:`UncapturedKindError` when the stream was captured
+        without ``etype``.
+        """
+        if self.events is None:
+            return None
+        if self.kinds is not None and etype not in self.kinds:
+            raise UncapturedKindError(
+                f"read {etype!r} events, but the run captured only "
+                f"{sorted(self.kinds)}; declare the kind in Invariant.reads"
+            )
+        return [event for event in self.events if event.etype == etype]
 
     @property
     def k(self) -> int:
@@ -232,14 +263,13 @@ class CheckContext:
         Returns ``None`` when the stream was not captured or the
         processor never flipped a sifter coin.
         """
-        if self.events is None:
-            return None
         if self._last_coins is None:
+            flips = self.events_of(EventType.COIN_FLIP)
+            if flips is None:
+                return None
             coins: dict[int, int] = {}
-            for event in self.events:
-                if event.etype == EventType.COIN_FLIP and str(
-                    event.fields.get("label", "")
-                ).endswith(".coin"):
+            for event in flips:
+                if str(event.fields.get("label", "")).endswith(".coin"):
                     coins[event.pid] = event.fields["value"]
             self._last_coins = coins
         return self._last_coins.get(pid)
@@ -299,6 +329,10 @@ class Invariant:
     ``None``.  ``witness`` is the per-run predicate the shrinker
     preserves while minimizing a violating schedule; for run-scope
     invariants it defaults to "``check`` still reports a violation".
+    ``reads`` names the event types ``check`` reads through
+    :meth:`CheckContext.events_of`; explorer trials capture only the
+    union of their invariants' ``reads``, and none at all when it is
+    empty.
     """
 
     name: str
@@ -309,6 +343,7 @@ class Invariant:
     check: Callable[[CheckContext], str | None] | None = None
     check_ensemble: Callable[[Sequence[TrialStats]], EnsembleVerdict | None] | None = None
     witness: Callable[[CheckContext], bool] = field(default=None)  # type: ignore[assignment]
+    reads: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if self.scope not in ("run", "ensemble"):
@@ -461,13 +496,12 @@ def _check_learned_closure(ctx: CheckContext) -> str | None:
     ``None``) when the event stream was not captured or the sifter is
     not the heterogeneous variant (no ``*.learned`` puts).
     """
-    if ctx.events is None:
+    puts = ctx.events_of(EventType.REG_PUT)
+    if puts is None:
         return None
     learned_by: dict[int, int] = {}
     own_members: dict[int, int] = {}
-    for event in ctx.events:
-        if event.etype != EventType.REG_PUT:
-            continue
+    for event in puts:
         var = str(event.fields.get("var", ""))
         value = event.fields.get("value")
         if var.endswith(".learned") and isinstance(value, int):
@@ -705,6 +739,7 @@ INVARIANTS: dict[str, Invariant] = {
             "A participant that flipped high priority never dies, and a "
             "sole participant always survives.",
             check=_check_no_false_death,
+            reads=frozenset({EventType.COIN_FLIP}),
         ),
         Invariant(
             "learned_closure", "Claim 3.3 (closure bookkeeping)",
@@ -713,6 +748,7 @@ INVARIANTS: dict[str, Invariant] = {
             "announcer and the announcer's own observed list; skipped "
             "for non-heterogeneous sifters and uncaptured event streams.",
             check=_check_learned_closure,
+            reads=frozenset({EventType.REG_PUT}),
         ),
         Invariant(
             "sifting_effective", "Claim 3.2 / Lemmas 3.6-3.7",
@@ -785,23 +821,35 @@ def invariants_for(
     return selected
 
 
+def reads_of(invariants: Sequence[Invariant]) -> frozenset[str]:
+    """The union of the event types ``invariants`` read."""
+    return frozenset().union(*(invariant.reads for invariant in invariants))
+
+
 def evaluate_run(
     spec: ProtocolSpec,
     run: Any,
     events: Sequence[Event] | None,
     invariants: Sequence[Invariant],
+    kinds: frozenset[str] | None = None,
 ) -> list[tuple[str, str]]:
     """Evaluate every run-scope invariant against one execution.
 
-    Returns ``(invariant name, violation message)`` pairs; an empty list
-    means the run satisfied all of them.
+    ``kinds`` is the set of event types ``events`` was captured with
+    (``None``: the full stream).  Returns ``(invariant name, violation
+    message)`` pairs; an empty list means the run satisfied all of them.
     """
-    ctx = CheckContext(spec, run, events)
+    ctx = CheckContext(spec, run, events, kinds)
     violations: list[tuple[str, str]] = []
     for invariant in invariants:
         if invariant.scope != "run":
             continue
-        message = invariant.check(ctx)
+        try:
+            message = invariant.check(ctx)
+        except UncapturedKindError as exc:
+            raise UncapturedKindError(
+                f"invariant {invariant.name!r} {exc}"
+            ) from None
         if message is not None:
             violations.append((invariant.name, message))
     return violations

@@ -354,16 +354,18 @@ async def _service_restart(
     The old instance's fencing floors survive via ``export_namespace``;
     its leases deliberately do not (a restart ends every hold), so any
     still-open grant is settled as a crash before the successor starts
-    granting the same keys at higher epochs.
+    granting the same keys at higher epochs.  The floors are read only
+    after ``stop()``: a grant issued while stopping must reach the
+    successor's floor, or the successor would grant that epoch again.
     """
     await asyncio.sleep(at_s)
     if state.stop.is_set():
         return
     old = state.service
+    await old.stop()
     namespace = old.export_namespace()
     state.fenced_base.extend(old.fenced)
     state.snapshots.append(old.snapshot())
-    await old.stop()
     ended = time.monotonic_ns()
     for record in old.history:
         if record.ended_ns is None:

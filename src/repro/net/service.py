@@ -186,6 +186,8 @@ class _KeyState:
     #: When the current vacancy began (crash/expiry), for failover latency.
     vacated_at: float | None = None
     vacated_by_crash: bool = False
+    #: The open grant's history record, so ending it needs no scan.
+    grant: "GrantRecord | None" = None
 
 
 class _Session:
@@ -394,7 +396,10 @@ class ElectionService:
         try:
             while True:
                 frame = await read_frame(reader)
-                if frame is None:
+                if frame is None or self._stopped:
+                    # A stopped service grants nothing more: its namespace
+                    # may already seed a successor, which would reissue
+                    # any epoch granted here.
                     break
                 if session is None:
                     # First frame pins the session's pid (= chaos link id).
@@ -669,6 +674,7 @@ class ElectionService:
             session=session.sid, granted_ns=time.monotonic_ns(),
         )
         self.history.append(record)
+        state.grant = record
         self.metrics.counter("svc.grants").inc()
         if self.grant_hook is not None:
             self.grant_hook(record)
@@ -689,12 +695,11 @@ class ElectionService:
 
     def _end_grant(self, state: _KeyState, reason: str, event: str) -> None:
         """Close the key's open grant record and vacate the lease."""
-        for record in reversed(self.history):
-            if record.key == state.key and record.epoch == state.epoch:
-                if record.ended_ns is None:
-                    record.ended_ns = time.monotonic_ns()
-                    record.reason = reason
-                break
+        record = state.grant
+        if record is not None and record.ended_ns is None:
+            record.ended_ns = time.monotonic_ns()
+            record.reason = reason
+        state.grant = None
         state.holder = None
         state.holder_session = None
         state.state = LeaseState.FREE

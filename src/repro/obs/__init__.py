@@ -44,11 +44,13 @@ from .events import (
     EventSink,
     EventType,
     ListSink,
+    MESSAGE_EVENT_TYPES,
     MultiSink,
     RingBufferSink,
     SCHEDULE_EVENT_TYPES,
     combine_sinks,
     json_safe,
+    subscribes,
 )
 from .jsonl import (
     JsonlSink,
@@ -110,6 +112,7 @@ __all__ = [
     "JsonlSink",
     "ListSink",
     "LiveTelemetry",
+    "MESSAGE_EVENT_TYPES",
     "MessageHop",
     "MetricsRegistry",
     "MetricsSink",
@@ -146,5 +149,6 @@ __all__ = [
     "render_snapshot",
     "replay_trace",
     "snapshot_to_prometheus",
+    "subscribes",
     "write_events",
 ]

@@ -6,7 +6,10 @@ transitions, decisions — is describable as one :class:`Event`: a logical
 timestamp, an event type, the acting processor, and a flat field mapping.
 The simulator emits events only when a sink is attached; with no sink the
 emission sites compile down to a single ``is None`` check, so the
-disabled path costs nothing measurable.
+disabled path costs nothing measurable.  A sink may also declare the
+event types it reads (its ``kinds``, see :func:`subscribes`): the
+simulator then skips building the per-message events nobody reads,
+which is what lets a kind-scoped sink ride the columnar delivery plane.
 
 The module is deliberately dependency-free (stdlib only): it sits below
 :mod:`repro.sim`, which imports it from the runtime hot path.
@@ -70,6 +73,10 @@ SCHEDULE_EVENT_TYPES = frozenset(
     {EventType.SCHED_STEP, EventType.SCHED_CRASH, EventType.MSG_DELIVER}
 )
 
+#: The per-message event types.  Only a sink subscribing to one of these
+#: needs materialized :class:`~repro.sim.messages.Message` objects.
+MESSAGE_EVENT_TYPES = frozenset({EventType.MSG_SEND, EventType.MSG_DELIVER})
+
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Event:
@@ -121,7 +128,14 @@ def json_safe(value: Any) -> Any:
 
 @runtime_checkable
 class EventSink(Protocol):
-    """Anything that can consume the simulator's event stream."""
+    """Anything that can consume the simulator's event stream.
+
+    A sink may carry a ``kinds`` attribute: the frozenset of event types
+    it reads, or ``None`` (the default when absent) for every type.
+    ``kinds`` is a subscription, not a filter the runtime enforces: the
+    simulator skips building events no attached sink subscribes to where
+    that saves work, and a sink must ignore any other type that arrives.
+    """
 
     def emit(self, event: Event) -> None:
         """Consume one event; called synchronously from the runtime."""
@@ -133,16 +147,24 @@ class EventSink(Protocol):
 
 
 class ListSink:
-    """Unbounded in-memory sink; the workhorse for tests and replay."""
+    """Unbounded in-memory sink; the workhorse for tests and replay.
 
-    __slots__ = ("events",)
+    ``kinds`` restricts the capture to those event types; ``None`` (the
+    default) keeps the full stream.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("events", "kinds")
+
+    def __init__(self, kinds: Iterable[str] | None = None) -> None:
         self.events: list[Event] = []
+        self.kinds: frozenset[str] | None = (
+            None if kinds is None else frozenset(kinds)
+        )
 
     def emit(self, event: Event) -> None:
-        """Append the event to the in-memory list."""
-        self.events.append(event)
+        """Append the event to the in-memory list, if it is a captured kind."""
+        if self.kinds is None or event.etype in self.kinds:
+            self.events.append(event)
 
     def close(self) -> None:
         """No-op: the collected events stay readable."""
@@ -198,12 +220,24 @@ class RingBufferSink:
 
 
 class MultiSink:
-    """Fan one event stream out to several sinks."""
+    """Fan one event stream out to several sinks.
 
-    __slots__ = ("sinks",)
+    Its ``kinds`` is the union of the children's, ``None`` as soon as one
+    child reads every type.
+    """
+
+    __slots__ = ("sinks", "kinds")
 
     def __init__(self, *sinks: EventSink) -> None:
         self.sinks: tuple[EventSink, ...] = sinks
+        kinds: frozenset[str] | None = frozenset()
+        for sink in sinks:
+            child = getattr(sink, "kinds", None)
+            if child is None:
+                kinds = None
+                break
+            kinds |= child
+        self.kinds = kinds
 
     def emit(self, event: Event) -> None:
         """Forward the event to every child sink."""
@@ -234,10 +268,26 @@ class CallbackSink:
 
 
 def combine_sinks(sinks: Iterable[EventSink]) -> EventSink | None:
-    """Collapse a sink collection: ``None`` when empty, bare sink when one."""
+    """Collapse a sink collection: ``None`` when empty, bare sink when one.
+
+    The result's ``kinds`` (see :func:`subscribes`) is the union of the
+    collected sinks' subscriptions.
+    """
     collected = [sink for sink in sinks if sink is not None]
     if not collected:
         return None
     if len(collected) == 1:
         return collected[0]
     return MultiSink(*collected)
+
+
+def subscribes(sink: EventSink | None, etypes: frozenset[str]) -> bool:
+    """True iff ``sink`` reads at least one of ``etypes``.
+
+    A missing sink reads nothing; a sink without a ``kinds`` attribute,
+    or with ``kinds=None``, reads everything.
+    """
+    if sink is None:
+        return False
+    kinds = getattr(sink, "kinds", None)
+    return kinds is None or not kinds.isdisjoint(etypes)

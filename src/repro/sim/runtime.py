@@ -35,7 +35,13 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
-from ..obs.events import Event, EventType, combine_sinks
+from ..obs.events import (
+    MESSAGE_EVENT_TYPES,
+    Event,
+    EventType,
+    combine_sinks,
+    subscribes,
+)
 from .communicate import Collect, PendingCall, Propagate
 from .errors import (
     AdversaryProtocolError,
@@ -172,27 +178,50 @@ class Simulation:
             Process(pid, n, make_stream(seed, f"proc/{pid}"), participants.get(pid))
             for pid in range(n)
         ]
+        self.trace = Trace(enabled=record_events)
+        self.profiler = profiler
+        # The structured event stream (repro.obs).  ``record_events`` keeps
+        # the legacy Trace populated through an adapter sink; an explicit
+        # ``sink`` receives the typed stream (every kind, or only the
+        # ``kinds`` it subscribes to); ``telemetry`` is a second sink slot
+        # for live consumers (a MetricsSink, LiveTelemetry, or
+        # StreamingChecker) so callers can record a trace and watch it at
+        # the same time.  When all are absent every emission site below
+        # reduces to one ``is None`` check.
+        sinks: list = []
+        if record_events:
+            sinks.append(TraceAdapterSink(self.trace))
+        if sink is not None:
+            sinks.append(sink)
+        if telemetry is not None:
+            sinks.append(telemetry)
+        self._obs = combine_sinks(sinks)
+        # Whether any attached sink reads MSG_SEND/MSG_DELIVER.  Those
+        # events carry the Message objects themselves, so they alone pin
+        # the materialized plane and disable the Message freelist.
+        self._msg_events = subscribes(self._obs, MESSAGE_EVENT_TYPES)
         # Capability negotiation for the pool representation.  Batch
         # (columnar) mode needs two certificates: the adversary never
-        # touches Message objects, and no event sink is attached (the
-        # per-message MSG_SEND/MSG_DELIVER stream requires materialized
-        # messages).  ``batch_messages`` overrides: False forces the
-        # materialized plane (equivalence tests), True asserts batch mode
-        # and raises if the certificates don't hold.
+        # touches Message objects, and no attached sink subscribes to the
+        # per-message events.  ``batch_messages`` overrides: False forces
+        # the materialized plane (equivalence tests), True asserts batch
+        # mode and raises if the certificates don't hold.
         wants_objects = getattr(adversary, "uses_message_objects", True)
-        has_sink = record_events or sink is not None or telemetry is not None
         if batch_messages is None:
-            batched = not wants_objects and not has_sink and n <= MAX_BATCH_PIDS
+            batched = (
+                not wants_objects and not self._msg_events and n <= MAX_BATCH_PIDS
+            )
         elif batch_messages:
             if wants_objects:
                 raise ValueError(
                     "batch_messages=True requires an adversary that declares "
                     "uses_message_objects = False"
                 )
-            if has_sink:
+            if self._msg_events:
                 raise ValueError(
-                    "batch_messages=True is incompatible with event sinks: "
-                    "per-message events require materialized messages"
+                    "batch_messages=True is incompatible with sinks that "
+                    "subscribe to msg.send/msg.deliver: per-message events "
+                    "require materialized messages"
                 )
             if n > MAX_BATCH_PIDS:
                 raise ValueError(
@@ -219,30 +248,14 @@ class Simulation:
         self._delta: dict[int, DeltaTracker] | None = (
             {} if delta_propagation else None
         )
-        # Recycled Message objects (only when no event sink holds raw
-        # message references); see _deliver.  The cap scales with n: one
-        # broadcast materializes up to n - 1 replies, so the hardcoded
-        # small cap that served n<=256 would starve the freelist at large
-        # n and put the allocator back on the hot path.
+        # Recycled Message objects (only when no sink reads the
+        # per-message events that hold raw references); see _deliver.
+        # The cap scales with n: one broadcast materializes up to n - 1
+        # replies, so the hardcoded small cap that served n<=256 would
+        # starve the freelist at large n and put the allocator back on
+        # the hot path.
         self._free_messages: list[Message] = []
         self._free_cap = max(256, 2 * n)
-        self.trace = Trace(enabled=record_events)
-        self.profiler = profiler
-        # The structured event stream (repro.obs).  ``record_events`` keeps
-        # the legacy Trace populated through an adapter sink; an explicit
-        # ``sink`` receives the full typed stream; ``telemetry`` is a
-        # second sink slot for live consumers (a MetricsSink,
-        # LiveTelemetry, or StreamingChecker) so callers can record a
-        # trace and watch it at the same time.  When all are absent every
-        # emission site below reduces to one ``is None`` check.
-        sinks: list = []
-        if record_events:
-            sinks.append(TraceAdapterSink(self.trace))
-        if sink is not None:
-            sinks.append(sink)
-        if telemetry is not None:
-            sinks.append(telemetry)
-        self._obs = combine_sinks(sinks)
         self.clock = 0
         self.max_events = max_events if max_events is not None else 100_000 + 1_000 * n * n
         self._call_counter = 0
@@ -412,7 +425,7 @@ class Simulation:
         self.in_flight.remove(message)
         self.metrics.deliveries += 1
         recipient = self.processes[message.recipient]
-        if self._obs is not None:
+        if self._msg_events:
             # Carries (src, dst, kind, call): together with sched.step and
             # sched.crash this is the full schedule the replayer re-drives.
             self._obs.emit(Event(
@@ -431,7 +444,7 @@ class Simulation:
         if recipient.status is ProcessStatus.CRASHED:
             # Delivered into the void; faulty processors never reply.  The
             # swallowed Message is still recyclable — nothing retained it.
-            if self._obs is None and len(self._free_messages) < self._free_cap:
+            if not self._msg_events and len(self._free_messages) < self._free_cap:
                 self._free_messages.append(message)
             return
         if message.kind is MessageKind.PROPAGATE:
@@ -472,12 +485,12 @@ class Simulation:
             )
         else:
             self._record_reply(recipient, message)
-        if self._obs is None and len(self._free_messages) < self._free_cap:
+        if not self._msg_events and len(self._free_messages) < self._free_cap:
             # Recycle the delivered Message: nothing retains it (the pool
             # dropped it above, views/metrics keep only payload mappings,
-            # and adversaries do not hold delivered messages).  With an
-            # event sink attached the raw object escaped into the stream,
-            # so recycling is disabled entirely.
+            # and adversaries do not hold delivered messages).  When a
+            # sink reads per-message events the raw object escaped into
+            # the stream, so recycling is disabled entirely.
             self._free_messages.append(message)
 
     def _record_reply(self, process: Process, message: Message) -> None:
@@ -578,6 +591,15 @@ class Simulation:
                 pending.views.append(view)
             if pending.satisfied and process.status is ProcessStatus.RUNNING:
                 self._needs_step.add(broadcast.sender)
+                if self._obs is not None:
+                    # The COMM_DONE of _record_reply, so a kind-scoped
+                    # sink sees the same stream on either plane.
+                    self._obs.emit(Event(
+                        self.clock,
+                        EventType.COMM_DONE,
+                        broadcast.sender,
+                        {"call": pending.call_id, "acks": pending.acks},
+                    ))
             return
         # Broadcast.mark_delivered, inlined.
         words = broadcast._undelivered_words
@@ -751,8 +773,8 @@ class Simulation:
             )
             process.messages_sent += self.n - 1
             self.metrics.record_send_batch(pid, kind, cells, self.n - 1)
-        elif self._obs is None:
-            # Materialized fast path (no sink): per-message accounting
+        elif not self._msg_events:
+            # Materialized fast path (no per-message events): accounting
             # (metrics, counter bumps) is folded into one update after the
             # loop; only the pool insertion remains per message.
             for recipient in range(self.n):
@@ -823,8 +845,8 @@ class Simulation:
 
         Recycled objects come from the freelist populated by
         :meth:`_deliver`; every field is overwritten here, so reuse is
-        invisible.  The freelist stays empty whenever an event sink is
-        attached (raw messages then escape into the stream).
+        invisible.  The freelist stays empty whenever a sink reads
+        per-message events (raw messages then escape into the stream).
         """
         free = self._free_messages
         if free:
@@ -853,7 +875,7 @@ class Simulation:
         """Account and enqueue one message; ``cells`` is the logical size."""
         sender.messages_sent += 1
         self.metrics.record_send(sender.pid, message.kind, cells)
-        if self._obs is not None:
+        if self._msg_events:
             self._obs.emit(Event(
                 self.clock,
                 EventType.MSG_SEND,

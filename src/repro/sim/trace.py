@@ -87,7 +87,7 @@ class Metrics:
         The broadcast loop of one ``communicate`` call sends ``n - 1``
         messages that differ only in recipient and uid; folding them in
         one call keeps the Deliver/Step hot path free of per-message
-        bookkeeping when no event sink is attached.
+        bookkeeping when no sink reads per-message events.
         """
         self.messages_total += count
         self.messages_by_kind[kind] += count

@@ -17,12 +17,16 @@ from repro.harness.soak import (
     LeaseMonitor,
     SoakError,
     SoakViolation,
+    _service_restart,
+    _SoakState,
     load_incident,
     replay_incident,
     run_soak,
 )
+from repro.net.chaos import CLEAN_PLAN
 from repro.net.client import ServiceClient
 from repro.net.service import ElectionService, GrantRecord
+from repro.obs.metrics import MetricsRegistry
 
 
 def grant(key, epoch, holder="h", granted_ns=0):
@@ -208,6 +212,55 @@ class TestNamespaceContinuity:
         namespace, lease = asyncio.run(main())
         assert namespace == {"k": 2}
         assert lease.epoch == 3
+
+    def test_grant_issued_while_stopping_is_fenced_by_the_successor(self):
+        # Regression: the restart used to export the namespace before
+        # stopping the old service, so a grant the old service issued
+        # while stopping was missing from the successor's floor and the
+        # successor granted that epoch again.  Here the old service's
+        # stop() is made to issue such a grant deterministically.
+        async def main():
+            state = _SoakState(
+                stop=asyncio.Event(), monitor=LeaseMonitor(),
+                registry=MetricsRegistry(), service=None,
+            )
+
+            def on_grant(record):
+                state.grant_log.append(record)
+                violation = state.monitor.observe(record)
+                if violation is not None:
+                    state.flag(violation)
+
+            old = ElectionService(
+                seed=0, default_ttl_ms=5000.0, grant_hook=on_grant
+            )
+            state.service = old
+            host, port = await old.start()
+            client = await ServiceClient.connect(host, port, client_id="a")
+            await client.release(await client.acquire("k", ttl_ms=5000.0))
+            stop = old.stop
+
+            async def stop_after_a_late_grant():
+                late = await client.acquire("k", ttl_ms=5000.0)
+                assert late.epoch == 2
+                await stop()
+
+            old.stop = stop_after_a_late_grant
+            await _service_restart(state, CLEAN_PLAN, 0.0, 5000.0, 0)
+            client.abort()
+            successor = await ServiceClient.connect(
+                state.host, state.port, client_id="b"
+            )
+            lease = await successor.acquire("k", ttl_ms=5000.0)
+            await successor.close()
+            await state.service.stop()
+            return state, lease
+
+        state, lease = asyncio.run(main())
+        assert state.violation is None
+        assert lease.epoch == 3
+        assert [record.epoch for record in state.grant_log] == [1, 2, 3]
+        assert state.grant_log[1].reason == "crash"
 
     def test_soak_grant_log_spans_the_restart_monotonically(self, tmp_path):
         report = run_soak(

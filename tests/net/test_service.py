@@ -33,6 +33,7 @@ from repro.net.service import (
     ServiceError,
     ServiceRun,
 )
+from repro.net.wire import Frame, FrameType, pack_frame
 
 #: Chaos plan used by the degraded-network tests: lossy and slow but
 #: seeded, so every failure is reproducible.
@@ -237,6 +238,47 @@ class TestLeaseEdgeCases:
         # 20s patience — failover is driven by the crash, not the TTL.
         assert hist["max"] < 5000.0
         assert run.history[0].reason == "crash"
+
+
+class TestGrantBookkeeping:
+    def test_each_key_tracks_its_open_grant(self):
+        async def body(service, host, port):
+            client = await ServiceClient.connect(host, port, client_id="a")
+            first = await client.acquire("k1", ttl_ms=5000)
+            await client.acquire("k2", ttl_ms=5000)
+            assert service.keys["k1"].grant is service.history[0]
+            assert service.keys["k2"].grant is service.history[1]
+            assert await client.release(first)
+            assert service.keys["k1"].grant is None
+            assert service.keys["k2"].grant is service.history[1]
+            await client.close()
+
+        _, run = run_scenario(body)
+        assert run.history[0].reason == "release"
+        assert run.history[0].ended_ns is not None
+
+    def test_stopped_service_grants_nothing(self):
+        # A frame still buffered when the service stops must not be
+        # dispatched: a successor may already hold the exported floors.
+        class ClosedWriter:
+            def close(self):
+                pass
+
+        async def main():
+            service = ElectionService(seed=0)
+            await service.start()
+            await service.stop()
+            reader = asyncio.StreamReader()
+            reader.feed_data(pack_frame(Frame(FrameType.ACQUIRE, 1, {
+                "rpc": 1, "key": "k", "client": "late",
+            })))
+            reader.feed_eof()
+            await service._handle_session(reader, ClosedWriter())
+            return service
+
+        service = asyncio.run(main())
+        assert service.history == []
+        assert "k" not in service.keys
 
 
 class TestWatch:

@@ -12,10 +12,12 @@ from repro.obs.events import (
     Event,
     EventType,
     ListSink,
+    MESSAGE_EVENT_TYPES,
     MultiSink,
     RingBufferSink,
     combine_sinks,
     json_safe,
+    subscribes,
 )
 from repro.obs.jsonl import (
     JsonlSink,
@@ -74,6 +76,37 @@ def test_multi_and_callback_sinks_and_combine():
     assert seen == [1] and len(listed.events) == 1
     assert combine_sinks([]) is None
     assert combine_sinks([listed]) is listed
+
+
+def test_list_sink_kinds_scope_the_capture():
+    sink = ListSink(kinds=[EventType.COIN_FLIP])
+    assert sink.kinds == frozenset({EventType.COIN_FLIP})
+    sink.emit(Event(1, EventType.SCHED_STEP, 0, {}))
+    sink.emit(Event(2, EventType.COIN_FLIP, 0, {"value": 1}))
+    assert [event.time for event in sink.events] == [2]
+    assert ListSink().kinds is None
+
+
+def test_combined_kinds_are_the_union():
+    flips = ListSink(kinds={EventType.COIN_FLIP})
+    puts = ListSink(kinds={EventType.REG_PUT})
+    combined = combine_sinks([flips, puts])
+    assert combined.kinds == frozenset({EventType.COIN_FLIP, EventType.REG_PUT})
+    # Each child still filters for itself.
+    combined.emit(Event(1, EventType.REG_PUT, 0, {}))
+    assert flips.events == [] and len(puts.events) == 1
+    # One child without ``kinds`` reads everything, so the union does too.
+    everything = CallbackSink(lambda event: None)
+    assert MultiSink(flips, everything).kinds is None
+
+
+def test_subscribes():
+    assert not subscribes(None, MESSAGE_EVENT_TYPES)
+    assert subscribes(ListSink(), MESSAGE_EVENT_TYPES)
+    assert subscribes(CallbackSink(lambda event: None), MESSAGE_EVENT_TYPES)
+    assert subscribes(ListSink(kinds={EventType.MSG_DELIVER}), MESSAGE_EVENT_TYPES)
+    assert not subscribes(ListSink(kinds={EventType.COMM_DONE}), MESSAGE_EVENT_TYPES)
+    assert not subscribes(ListSink(kinds=()), MESSAGE_EVENT_TYPES)
 
 
 def test_jsonl_sink_writes_meta_then_events(tmp_path):

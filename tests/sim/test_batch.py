@@ -13,8 +13,12 @@ makes the optimisation safe to ship:
   undelivered bitmask tracks deliveries exactly, and the descs list obeys
   the same swap-remove slot discipline as the materialized list.
 * **Negotiation** — batch mode engages exactly when the adversary
-  forswears Message objects and no event sink is attached, and
-  ``batch_messages=True`` fails loudly when those certificates are absent.
+  forswears Message objects and no attached sink subscribes to the
+  per-message events, and ``batch_messages=True`` fails loudly when
+  those certificates are absent.
+* **Kind-scoped sinks** — a sink subscribing to everything but
+  ``msg.*`` rides the batch plane and sees exactly the materialized
+  stream filtered to its kinds, ``comm.done`` included.
 """
 
 from __future__ import annotations
@@ -29,6 +33,13 @@ from repro.adversary import (
     RandomCrashAdversary,
 )
 from repro.core import make_heterogeneous_poison_pill, make_leader_elect
+from repro.obs.events import (
+    MESSAGE_EVENT_TYPES,
+    EventType,
+    ListSink,
+    MultiSink,
+)
+from repro.obs.jsonl import event_line
 from repro.sim import DeliverBatch, Simulation, Step
 from repro.sim.messages import (
     BROADCAST_SHIFT,
@@ -249,6 +260,93 @@ class TestBatchPool:
         assert len(pool) == 0 and not pool
         self._open(pool, sender=0, n=3)
         assert len(pool) == 2 and pool
+
+
+#: Every event type the runtime and protocols emit except the per-message
+#: ones: the widest subscription that still rides the batch plane.
+_NON_MESSAGE_KINDS = frozenset(
+    value for name, value in vars(EventType).items()
+    if name.isupper() and value not in MESSAGE_EVENT_TYPES
+)
+
+#: Registered adversaries that can drive the batch plane.
+_BATCH_ADVERSARIES = sorted(
+    name for name, factory in ADVERSARY_FACTORIES.items()
+    if not factory().uses_message_objects
+)
+
+
+def _scoped_matches_full(build, adversary):
+    """Run a kind-scoped batch run and a full materialized run; compare."""
+    scoped = ListSink(kinds=_NON_MESSAGE_KINDS)
+    batch = build(adversary(), sink=scoped)
+    assert batch.in_flight.batched
+    full = ListSink()
+    legacy = build(adversary(), sink=full, batch_messages=False)
+    assert _observables(batch.run()) == _observables(legacy.run())
+    expected = [
+        event_line(event) for event in full.events
+        if event.etype in _NON_MESSAGE_KINDS
+    ]
+    assert [event_line(event) for event in scoped.events] == expected
+    return scoped.events
+
+
+class TestKindScopedSink:
+    """A sink that reads no msg.* events keeps the columnar plane."""
+
+    @pytest.mark.parametrize("name", _BATCH_ADVERSARIES)
+    def test_election_stream_equals_filtered_materialized(self, name):
+        events = _scoped_matches_full(
+            _election_sim, lambda: ADVERSARY_FACTORIES[name](seed=3)
+        )
+        assert any(event.etype == EventType.COMM_DONE for event in events)
+
+    @pytest.mark.parametrize("name", _BATCH_ADVERSARIES)
+    def test_sifting_stream_equals_filtered_materialized(self, name):
+        _scoped_matches_full(
+            _sifting_sim, lambda: ADVERSARY_FACTORIES[name](seed=9)
+        )
+
+    def test_crash_storm_stream_equals_filtered_materialized(self):
+        events = _scoped_matches_full(
+            _election_sim,
+            lambda: RandomCrashAdversary(
+                RandomAdversary(seed=4), rate=0.02, seed=13
+            ),
+        )
+        assert any(event.etype == EventType.SCHED_CRASH for event in events)
+
+    def test_message_subscription_forces_materialized(self):
+        for kinds in ({EventType.MSG_SEND}, {EventType.MSG_DELIVER}):
+            sim = _election_sim(EagerAdversary(), sink=ListSink(kinds=kinds))
+            assert not sim.in_flight.batched
+        with pytest.raises(ValueError, match="msg.send/msg.deliver"):
+            _election_sim(
+                EagerAdversary(), sink=ListSink(kinds={EventType.MSG_DELIVER}),
+                batch_messages=True,
+            )
+
+    def test_scoped_sink_may_force_batch(self):
+        sim = _election_sim(
+            EagerAdversary(), sink=ListSink(kinds={EventType.COIN_FLIP}),
+            batch_messages=True,
+        )
+        assert sim.in_flight.batched
+
+    def test_telemetry_slot_subscribes_by_its_own_kinds(self):
+        # The union over every attached sink decides: a full-stream
+        # telemetry sink beside a scoped one pins the materialized plane.
+        sim = _election_sim(
+            EagerAdversary(), sink=ListSink(kinds={EventType.COIN_FLIP}),
+            telemetry=ListSink(),
+        )
+        assert not sim.in_flight.batched
+        scoped = MultiSink(
+            ListSink(kinds={EventType.COIN_FLIP}),
+            ListSink(kinds={EventType.COMM_DONE}),
+        )
+        assert _election_sim(EagerAdversary(), telemetry=scoped).in_flight.batched
 
 
 class TestNegotiation:
